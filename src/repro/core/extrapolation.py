@@ -41,9 +41,7 @@ from ..errors import (
 )
 from ..log import get_logger
 from ..ml.cluster.kmeans import KMeans
-from ..ml.linear.coordinate_descent import Lasso, alpha_max
-from ..ml.linear.multitask import MultiTaskLasso, multitask_alpha_max
-from ..ml.linear.multitask import MultiTaskLassoCV
+from ..ml.linear.multitask import MultiTaskLasso, MultiTaskLassoCV, multitask_alpha_max
 from ..robustness.report import FitReport
 from .scaling_features import ScaleBasis
 
@@ -54,6 +52,11 @@ __all__ = [
 ]
 
 logger = get_logger("core.extrapolation")
+
+#: Stop rule and cap of the support-path solves.  At a looser tolerance,
+#: rows whose correlation is within ~1e-5 of alpha stay slightly active;
+#: a few solves on near-collinear terms need more than 5000 iterations.
+_PATH_TOL, _PATH_MAX_ITER = 1e-12, 20000
 
 
 def _log_shape(S: np.ndarray) -> np.ndarray:
@@ -157,43 +160,28 @@ class ClusteredScalingExtrapolator:
     # explode beyond it — the dominant failure mode of naive in-sample
     # selection.
 
-    def _path_supports_multitask(self, Y_norm: np.ndarray) -> list[np.ndarray]:
-        """Distinct supports (size <= max_terms) along the MTL path."""
+    def _path_supports(
+        self, Y_norm: np.ndarray, unconverged: list | None = None
+    ) -> list[np.ndarray]:
+        """Distinct supports (size <= max_terms) along the lasso path of
+        the curves in ``Y_norm``'s columns; one curve (the independent
+        ablation) gets the plain lasso's, as L2,1 on one task is L1.
+        Unconverged solves append ``(dual_gap, n_iter)`` to ``unconverged``.
+        """
         A, _, _ = _standardize_columns(self._design_small)
         a_max = multitask_alpha_max(A, Y_norm, fit_intercept=True)
         if a_max <= 0:
             return []
         alphas = np.geomspace(a_max * 0.95, a_max * 1e-3, self.n_alphas)
-        model = MultiTaskLasso(alpha=float(alphas[0]), warm_start=True, tol=1e-8)
+        model = MultiTaskLasso(warm_start=True, tol=_PATH_TOL, max_iter=_PATH_MAX_ITER)
         seen: set[tuple[bool, ...]] = set()
         out: list[np.ndarray] = []
         for a in alphas:
             model.alpha = float(a)
             model.fit(A, Y_norm)
+            if not model.converged_ and unconverged is not None:
+                unconverged.append((model.dual_gap_, model.n_iter_))
             support = model.support_
-            k = int(support.sum())
-            if k > self.max_terms:
-                break
-            key = tuple(support.tolist())
-            if k >= 1 and key not in seen:
-                seen.add(key)
-                out.append(support.copy())
-        return out
-
-    def _path_supports_independent(self, y_norm: np.ndarray) -> list[np.ndarray]:
-        """Distinct supports along a single-task lasso path (ablation)."""
-        A, _, _ = _standardize_columns(self._design_small)
-        a_max = alpha_max(A, y_norm, fit_intercept=True)
-        if a_max <= 0:
-            return []
-        alphas = np.geomspace(a_max * 0.95, a_max * 1e-3, self.n_alphas)
-        model = Lasso(alpha=float(alphas[0]), warm_start=True, tol=1e-8)
-        seen: set[tuple[bool, ...]] = set()
-        out: list[np.ndarray] = []
-        for a in alphas:
-            model.alpha = float(a)
-            model.fit(A, y_norm)
-            support = model.coef_ != 0.0
             k = int(support.sum())
             if k > self.max_terms:
                 break
@@ -370,7 +358,9 @@ class ClusteredScalingExtrapolator:
             predictions.
         report:
             Fit report receiving a ``fallback_support`` event for every
-            cluster whose hypothesis selection degenerates.
+            cluster whose hypothesis selection degenerates, and an
+            informational ``solver_not_converged`` event for every
+            cluster with a support-path solve stopped at its cap.
         """
         report = report if report is not None else FitReport()
         S = np.asarray(S, dtype=np.float64)
@@ -406,13 +396,14 @@ class ClusteredScalingExtrapolator:
         full = np.ones(len(self.basis), dtype=bool)
         for c in range(k):
             members = np.nonzero(labels == c)[0]
+            unconverged: list[tuple[float, int]] = []
             if self.selection == "none":
                 self.supports_[c] = full.copy()
                 self.intercepts_[c] = True
             elif self.selection == "multitask":
                 try:
-                    candidates = self._path_supports_multitask(
-                        Y_norm_all[:, members]
+                    candidates = self._path_supports(
+                        Y_norm_all[:, members], unconverged
                     )
                     support, intercept, score = self._select_hypothesis(
                         candidates, S[members]
@@ -452,7 +443,7 @@ class ClusteredScalingExtrapolator:
             else:  # independent (ablation): per-config selection, no sharing
                 votes = np.zeros(len(self.basis))
                 for m in members:
-                    cands = self._path_supports_independent(Y_norm_all[:, m])
+                    cands = self._path_supports(Y_norm_all[:, m], unconverged)
                     sup_m, _, _ = self._select_hypothesis(cands, S[m : m + 1])
                     votes += sup_m
                 # The stored (majority) support is only used as a label
@@ -462,6 +453,15 @@ class ClusteredScalingExtrapolator:
                     support if support.any() else self._fallback_support()
                 )
                 self.intercepts_[c] = True
+            if unconverged:
+                worst_gap, n_iter = max(unconverged)
+                report.record(
+                    "extrapolation", "solver_not_converged",
+                    f"cluster {c}: {len(unconverged)} support-path solve(s) "
+                    f"stopped at the iteration cap (worst gap {worst_gap:.3g})",
+                    degrades=False, cluster=c, count=len(unconverged),
+                    worst_gap=float(worst_gap), n_iter=int(n_iter),
+                )
         self._train_S = S
         logger.debug(
             "extrapolator fitted: %d cluster(s), supports %s",
@@ -533,7 +533,7 @@ class ClusteredScalingExtrapolator:
             # Per-config reselection: nothing is shareable across rows.
             for i in range(S.shape[0]):
                 mag = float(S[i].mean())
-                cands = self._path_supports_independent(S[i] / mag)
+                cands = self._path_supports(S[i] / mag)
                 support, intercept, _ = self._select_hypothesis(
                     cands, S[i : i + 1]
                 )

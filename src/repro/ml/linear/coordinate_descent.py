@@ -78,13 +78,14 @@ def _enet_coordinate_descent(
     w: np.ndarray,
     max_iter: int,
     tol: float,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, int, bool]:
     """Cyclic coordinate descent on centered data.
 
     Parameters are the *unnormalized* penalty levels: ``alpha_l1 = alpha *
     l1_ratio`` and ``alpha_l2 = alpha * (1 - l1_ratio)``.
 
-    Returns ``(w, gap, n_iter)``.  The residual vector is maintained
+    Returns ``(w, gap, n_iter, converged)``; ``converged`` is the stop
+    rule ``gap < tol * ||y||^2 / n``.  The residual vector is maintained
     incrementally so each coordinate update is O(n).
     """
     n_samples, n_features = X.shape
@@ -116,7 +117,7 @@ def _enet_coordinate_descent(
             gap = _enet_duality_gap(X, y, w, alpha_l1, alpha_l2)
             if gap < y_norm_tol:
                 break
-    return w, gap, n_iter
+    return w, gap, n_iter, bool(gap < y_norm_tol)
 
 
 class ElasticNet(BaseEstimator, RegressorMixin):
@@ -136,6 +137,9 @@ class ElasticNet(BaseEstimator, RegressorMixin):
     warm_start:
         Reuse ``coef_`` from a previous ``fit`` as the starting point —
         used by :func:`lasso_path` to sweep alphas cheaply.
+
+    After ``fit``, ``converged_`` says whether the duality gap met the
+    tolerance before ``max_iter``.
     """
 
     def __init__(
@@ -182,7 +186,7 @@ class ElasticNet(BaseEstimator, RegressorMixin):
 
         alpha_l1 = self.alpha * self.l1_ratio
         alpha_l2 = self.alpha * (1.0 - self.l1_ratio)
-        w, gap, n_iter = _enet_coordinate_descent(
+        w, gap, n_iter, converged = _enet_coordinate_descent(
             Xc, yc, alpha_l1, alpha_l2, w, self.max_iter, self.tol
         )
 
@@ -190,6 +194,7 @@ class ElasticNet(BaseEstimator, RegressorMixin):
         self.intercept_ = y_mean - float(x_mean @ w)
         self.dual_gap_ = gap
         self.n_iter_ = n_iter
+        self.converged_ = converged
         self.n_features_in_ = n_features
         return self
 

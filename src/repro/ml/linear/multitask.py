@@ -1,4 +1,4 @@
-"""Multi-task lasso via block coordinate descent.
+"""Multi-task lasso via accelerated proximal gradient (FISTA).
 
 This is the estimator the reproduced paper uses at the extrapolation
 level: several related regression tasks (scaling curves of configurations
@@ -11,9 +11,17 @@ so that every task shares one support of active features.  A feature
 (scaling basis function) is either used by *all* tasks in the group or by
 none — which is exactly the mechanism that damps per-task interpolation
 noise in the paper's method.
+
+The solver is FISTA (Beck & Teboulle 2009) with gradient-based adaptive
+restart (O'Donoghue & Candes 2015) on the Gram form ``X^T X / n``,
+``X^T Y / n``: each iteration updates every row of every task at once,
+and it keeps converging on the support path's rank-deficient 5 x 8
+designs, where cyclic coordinate descent crawls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,6 +29,10 @@ from ..base import BaseEstimator, RegressorMixin, check_is_fitted
 from ..validation import check_array, check_X_y
 
 __all__ = ["MultiTaskLasso", "MultiTaskLassoCV", "multitask_alpha_max"]
+
+
+def _row_norms(M: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("jt,jt->j", M, M))
 
 
 def multitask_alpha_max(
@@ -39,81 +51,26 @@ def multitask_alpha_max(
         Y = Y - Y.mean(axis=0)
     n = X.shape[0]
     corr = X.T @ Y  # (n_features, n_tasks)
-    return float(np.max(np.sqrt(np.einsum("jt,jt->j", corr, corr))) / n)
+    return float(np.max(_row_norms(corr)) / n)
 
 
-def _mtl_duality_gap(
-    X: np.ndarray, Y: np.ndarray, W: np.ndarray, alpha: float
+def _gram_duality_gap(
+    G: np.ndarray, C: np.ndarray, yy: float, W: np.ndarray, alpha: float
 ) -> float:
-    """Duality gap of the multitask-lasso problem at ``W``.
+    """Duality gap at ``W`` from ``G = X^T X / n``, ``C = X^T Y / n`` and
+    ``yy = ||Y||^2 / n``.
 
-    The dual constraint is ``max_j ||X_j^T Theta||_2 <= alpha`` (the dual
-    norm of L2,1 is L2,inf); the residual is scaled into the feasible set.
+    The dual point is the residual ``R = Y - X W`` scaled into the
+    feasible set ``max_j ||X_j^T Theta||_2 <= alpha`` (the dual norm of
+    L2,1 is L2,inf); every term reduces to the Gram quantities.
     """
-    n = X.shape[0]
-    R = Y - X @ W
-    row_norms = np.sqrt(np.einsum("jt,jt->j", W, W))
-    primal = float(np.sum(R * R)) / (2.0 * n) + alpha * float(row_norms.sum())
-    corr = X.T @ R / n
-    corr_norms = np.sqrt(np.einsum("jt,jt->j", corr, corr))
-    max_corr = float(corr_norms.max()) if corr_norms.size else 0.0
+    corr = C - G @ W  # X^T R / n
+    r2 = yy - float(np.sum(W * (C + corr)))  # ||R||^2 / n
+    primal = 0.5 * r2 + alpha * float(_row_norms(W).sum())
+    max_corr = float(_row_norms(corr).max()) if corr.size else 0.0
     scale = 1.0 if max_corr <= alpha else alpha / max_corr
-    Theta = (R / n) * scale
-    dual = -0.5 * n * float(np.sum(Theta * Theta)) + float(np.sum(Theta * Y))
-    return float(max(primal - dual, 0.0))
-
-
-def _mtl_block_coordinate_descent(
-    X: np.ndarray,
-    Y: np.ndarray,
-    alpha: float,
-    W: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, float, int]:
-    """Cyclic block coordinate descent over feature rows of ``W``.
-
-    For each feature j the closed-form update is a group soft-threshold:
-
-        z = (1/n) X_j^T (R + X_j W_j)        # (n_tasks,)
-        W_j <- z / c_j * max(0, 1 - alpha / ||z||_2),   c_j = (1/n)||X_j||^2
-
-    The residual matrix R is maintained incrementally (rank-1 updates).
-    """
-    n_samples, n_features = X.shape
-    col_sq = np.einsum("ij,ij->j", X, X) / n_samples
-    R = Y - X @ W
-    gap = np.inf
-    y_norm_tol = tol * float(np.sum(Y * Y)) / n_samples
-    if y_norm_tol == 0.0:
-        y_norm_tol = tol
-
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        w_max = 0.0
-        d_w_max = 0.0
-        for j in range(n_features):
-            c = col_sq[j]
-            if c == 0.0:
-                continue
-            w_old = W[j].copy()
-            z = (X[:, j] @ R) / n_samples + c * w_old
-            z_norm = float(np.sqrt(z @ z))
-            if z_norm <= alpha:
-                w_new = np.zeros_like(w_old)
-            else:
-                w_new = z * ((1.0 - alpha / z_norm) / c)
-            delta = w_old - w_new
-            if np.any(delta != 0.0):
-                R += np.outer(X[:, j], delta)
-                W[j] = w_new
-            d_w_max = max(d_w_max, float(np.max(np.abs(delta))))
-            w_max = max(w_max, float(np.max(np.abs(w_new))) if w_new.size else 0.0)
-        if w_max == 0.0 or d_w_max / max(w_max, 1e-300) < tol or n_iter == max_iter:
-            gap = _mtl_duality_gap(X, Y, W, alpha)
-            if gap < y_norm_tol:
-                break
-    return W, gap, n_iter
+    dual = scale * (yy - float(np.sum(W * C))) - 0.5 * scale * scale * r2
+    return max(primal - dual, 0.0)
 
 
 class MultiTaskLasso(BaseEstimator, RegressorMixin):
@@ -130,9 +87,14 @@ class MultiTaskLasso(BaseEstimator, RegressorMixin):
     fit_intercept:
         Fit per-task unpenalized intercepts by centering.
     max_iter, tol:
-        Block-coordinate-descent cap and duality-gap tolerance.
+        Proximal-gradient iteration cap and duality-gap tolerance
+        (relative to ``||Y||^2 / n`` of the centered targets).
     warm_start:
         Reuse the previous ``coef_`` as the starting point.
+
+    After ``fit``, ``n_iter_`` counts proximal-gradient iterations,
+    ``dual_gap_`` is the last certified gap, and ``converged_`` says
+    whether the gap met the tolerance before ``max_iter``.
     """
 
     def __init__(
@@ -159,12 +121,11 @@ class MultiTaskLasso(BaseEstimator, RegressorMixin):
         if self.fit_intercept:
             x_mean = X.mean(axis=0)
             y_mean = Y.mean(axis=0)
-            Xc = np.ascontiguousarray(X - x_mean)
-            Yc = np.ascontiguousarray(Y - y_mean)
+            Xc, Yc = X - x_mean, Y - y_mean
         else:
             x_mean = np.zeros(n_features)
             y_mean = np.zeros(n_tasks)
-            Xc, Yc = np.ascontiguousarray(X), np.ascontiguousarray(Y)
+            Xc, Yc = X, Y
 
         if (
             self.warm_start
@@ -175,14 +136,48 @@ class MultiTaskLasso(BaseEstimator, RegressorMixin):
         else:
             W = np.zeros((n_features, n_tasks))
 
-        W, gap, n_iter = _mtl_block_coordinate_descent(
-            Xc, Yc, self.alpha, W, self.max_iter, self.tol
-        )
+        n = X.shape[0]
+        G = Xc.T @ Xc / n
+        C = Xc.T @ Yc / n
+        yy = float(np.sum(Yc * Yc)) / n
+        gap_tol = self.tol * yy if yy > 0.0 else self.tol
+        # Step 1/L with L = lambda_max(G), the gradient's Lipschitz constant;
+        # L = 0 means every column is constant, and W = 0 is the solution.
+        L = float(np.linalg.eigvalsh(G)[-1])
+        if L > 0.0:
+            M, B, thresh = np.eye(n_features) - G / L, C / L, self.alpha / L
+        else:
+            M, B, thresh = np.zeros_like(G), np.zeros_like(C), np.inf
+        Z, t = W, 1.0
+        gap, n_iter = np.inf, 0
+        for n_iter in range(1, self.max_iter + 1):
+            # Gradient step from the extrapolated point, then a row-wise
+            # group soft-threshold over all tasks at once.
+            V = M @ Z + B
+            norms = _row_norms(V)
+            shrink = np.zeros(n_features)
+            active = norms > thresh
+            shrink[active] = 1.0 - thresh / norms[active]
+            W_new = V * shrink[:, None]
+            step = W_new - W
+            if np.vdot(Z - W_new, step) > 0.0:
+                # Momentum points uphill: restart the acceleration.
+                Z, t = W_new, 1.0
+            else:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                Z = W_new + ((t - 1.0) / t_next) * step
+                t = t_next
+            W = W_new
+            if n_iter % 10 == 0 or n_iter == self.max_iter:  # gap check
+                gap = _gram_duality_gap(G, C, yy, W, self.alpha)
+                if gap < gap_tol:
+                    break
 
         self.coef_ = W.T  # (n_tasks, n_features), sklearn convention
         self.intercept_ = y_mean - x_mean @ W
         self.dual_gap_ = gap
         self.n_iter_ = n_iter
+        self.converged_ = bool(gap < gap_tol)
         self.n_features_in_ = n_features
         self.n_tasks_ = n_tasks
         return self

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ClusteredScalingExtrapolator, ScaleBasis, TransferExtrapolator
+import repro.core.extrapolation as extrapolation
+from repro.core import (
+    ClusteredScalingExtrapolator,
+    ScaleBasis,
+    TransferExtrapolator,
+    TwoLevelModel,
+)
+from repro.ml import RandomForestRegressor
+from repro.robustness import FitReport
 
 SMALL = (32, 64, 128, 256, 512)
 LARGE = (1024, 2048, 4096)
@@ -141,6 +149,48 @@ class TestAblationModes:
                                              random_state=0).fit(S)
         assert model.kmeans_ is None
         np.testing.assert_array_equal(model.labels_, 0)
+
+
+class TestSolverConvergenceReport:
+    @pytest.mark.parametrize("selection", ["multitask", "independent"])
+    def test_capped_path_solves_are_reported_without_degrading(
+        self, rng, monkeypatch, selection
+    ):
+        monkeypatch.setattr(extrapolation, "_PATH_MAX_ITER", 2)
+        S, _ = synthetic_curves(16, rng)
+        report = FitReport()
+        ClusteredScalingExtrapolator(
+            SMALL, n_clusters=2, selection=selection, random_state=0
+        ).fit(S, report=report)
+        events = report.by_kind("solver_not_converged")
+        assert [e.context["cluster"] for e in events] == [0, 1]
+        for event in events:
+            assert event.stage == "extrapolation" and not event.degrades
+            assert event.context["count"] >= 1
+            assert event.context["n_iter"] == 2
+            assert event.context["worst_gap"] > 0
+        assert not report.degraded
+
+    def test_converged_path_records_nothing(self, rng):
+        S, _ = synthetic_curves(16, rng)
+        report = FitReport()
+        ClusteredScalingExtrapolator(SMALL, n_clusters=2, random_state=0).fit(
+            S, report=report
+        )
+        assert len(report) == 0
+
+    def test_two_level_fit_report_stays_clean(self, tiny_history, monkeypatch):
+        monkeypatch.setattr(extrapolation, "_PATH_MAX_ITER", 2)
+        model = TwoLevelModel(
+            small_scales=[32, 64, 128, 256],
+            n_clusters=2,
+            interp_factory=lambda random_state=None: RandomForestRegressor(
+                n_estimators=8, random_state=random_state
+            ),
+            random_state=0,
+        ).fit(tiny_history)
+        assert "solver_not_converged" in model.fit_report_.kinds()
+        assert not model.fit_report_.degraded
 
 
 class TestInputValidation:

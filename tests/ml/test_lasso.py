@@ -48,6 +48,19 @@ class TestLassoOptimality:
         model = Lasso(alpha=alpha, tol=1e-10, max_iter=10000).fit(X, y)
         assert kkt_violation(X, y, model.coef_, model.intercept_, alpha) < 1e-5
 
+    @pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
+    def test_converged_is_the_stop_rule(self, linear_data, l1_ratio):
+        X, y, _ = linear_data
+        yc = y - y.mean()
+        gap_tol = 1e-10 * (yc @ yc) / len(y)
+        model = ElasticNet(alpha=0.05, l1_ratio=l1_ratio, tol=1e-10, max_iter=5000)
+        model.fit(X, y)
+        assert model.converged_ and model.dual_gap_ < gap_tol
+        assert model.n_iter_ < 5000
+        capped = ElasticNet(alpha=0.05, l1_ratio=l1_ratio, tol=1e-14, max_iter=1)
+        capped.fit(X, y)
+        assert not capped.converged_ and capped.dual_gap_ >= 1e-14 * (yc @ yc) / len(y)
+
     def test_alpha_above_max_gives_zero(self, linear_data):
         X, y, _ = linear_data
         a_max = alpha_max(X, y)

@@ -1,10 +1,14 @@
-"""Tests for the multitask lasso (block coordinate descent)."""
+"""Tests for the multitask lasso (FISTA on the Gram form)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import get_app
+from repro.core.extrapolation import _PATH_MAX_ITER, _PATH_TOL, _standardize_columns
+from repro.core.scaling_features import ScaleBasis
+from repro.data import HistoryGenerator
 from repro.ml import Lasso, MultiTaskLasso, MultiTaskLassoCV, multitask_alpha_max
 
 
@@ -28,6 +32,20 @@ def group_kkt_violation(X, Y, W_tasks_by_feat, intercept, alpha):
         else:
             viol = max(viol, max(0.0, float(np.linalg.norm(cj)) - alpha))
     return viol
+
+
+def direct_duality_gap(X, Y, W_tasks_by_feat, alpha):
+    """Duality gap computed from X and Y themselves (no Gram form)."""
+    n = X.shape[0]
+    Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+    R = Yc - Xc @ W_tasks_by_feat
+    primal = np.sum(R * R) / (2 * n) + alpha * np.linalg.norm(
+        W_tasks_by_feat, axis=1
+    ).sum()
+    max_corr = np.linalg.norm(Xc.T @ R / n, axis=1).max()
+    theta = R / n * min(1.0, alpha / max_corr)
+    dual = -0.5 * n * np.sum(theta * theta) + np.sum(theta * Yc)
+    return max(primal - dual, 0.0)
 
 
 @pytest.fixture
@@ -117,6 +135,15 @@ class TestMultiTaskBehavior:
         with pytest.raises(ValueError):
             MultiTaskLasso(alpha=-1).fit(np.ones((3, 2)), np.ones((3, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_constant_columns_give_zero_coef(self):
+        # One sample: every centered column is zero, so X^T X has no
+        # positive eigenvalue to set the step from.
+        model = MultiTaskLasso(alpha=10.0).fit(np.ones((1, 3)), [[1.0, 2.0]])
+        np.testing.assert_array_equal(model.coef_, 0.0)
+        np.testing.assert_array_equal(model.intercept_, [1.0, 2.0])
+        assert model.converged_
+
 
 class TestMultiTaskLassoCV:
     def test_selects_alpha_and_predicts(self, multitask_data):
@@ -129,3 +156,68 @@ class TestMultiTaskLassoCV:
         X, Y, _ = multitask_data
         model = MultiTaskLassoCV(cv=4, n_alphas=6).fit(X, Y)
         assert model.mse_path_.shape == (6, 4)
+
+
+class TestConvergedFlag:
+    def test_converged_is_the_stop_rule(self, multitask_data):
+        X, Y, _ = multitask_data
+        Yc = Y - Y.mean(axis=0)
+        gap_tol = 1e-10 * np.sum(Yc * Yc) / len(Y)
+        model = MultiTaskLasso(alpha=0.05, tol=1e-10, max_iter=5000).fit(X, Y)
+        assert model.converged_ and model.dual_gap_ < gap_tol
+        assert model.n_iter_ < 5000
+
+    def test_capped_solve_is_not_converged(self, multitask_data):
+        X, Y, _ = multitask_data
+        model = MultiTaskLasso(alpha=0.05, tol=1e-14, max_iter=3).fit(X, Y)
+        assert model.n_iter_ == 3
+        assert not model.converged_
+        assert np.isfinite(model.dual_gap_)
+
+
+def path_curves(scales, n_tasks):
+    """Magnitude-normalized small-scale curves of simulated stencil
+    configurations, one per column, as the extrapolation level fits them."""
+    gen = HistoryGenerator(get_app("stencil3d"), seed=7)
+    history = gen.collect(gen.sample_configs(n_tasks), scales, repetitions=1)
+    _, S = history.runtime_matrix(scales)
+    return (S / S.mean(axis=1, keepdims=True)).T
+
+
+class TestSupportPathRegime:
+    """The solver where the extrapolation level runs it: the standardized
+    ScaleBasis design of 5 small scales (the quickstart; rank 4 once
+    centered) or 3 (the campaigns; rank 2), curves as tasks, and a
+    40-alpha warm-started path at the path's tolerance and cap.  One task
+    is the independent-lasso ablation's path.  The reference solves the
+    same path to tol 1e-14."""
+
+    @pytest.mark.parametrize(
+        "scales, n_tasks",
+        [
+            ([32, 64, 128, 256, 512], 1),
+            ([32, 64, 128, 256, 512], 15),
+            ([32, 64, 128, 256, 512], 42),
+            ([32, 64, 128], 17),
+        ],
+    )
+    def test_every_path_solve_converges_to_the_lasso_support(
+        self, scales, n_tasks
+    ):
+        A, _, _ = _standardize_columns(ScaleBasis().design_matrix(scales))
+        Y = path_curves(scales, n_tasks)
+        Yc = Y - Y.mean(axis=0)
+        yy = np.sum(Yc * Yc) / len(Y)
+        a_max = multitask_alpha_max(A, Y)
+        model = MultiTaskLasso(warm_start=True, tol=_PATH_TOL, max_iter=_PATH_MAX_ITER)
+        ref = MultiTaskLasso(warm_start=True, tol=1e-14, max_iter=100_000)
+        for alpha in np.geomspace(a_max * 0.95, a_max * 1e-3, 40):
+            model.alpha = ref.alpha = float(alpha)
+            model.fit(A, Y)
+            ref.fit(A, Y)
+            assert model.converged_ and ref.converged_, alpha
+            np.testing.assert_array_equal(model.support_, ref.support_)
+            W = model.coef_.T
+            assert group_kkt_violation(A, Y, W, model.intercept_, alpha) < 1e-6
+            gap = direct_duality_gap(A, Y, W, alpha)
+            assert abs(gap - model.dual_gap_) < 1e-13 * yy
