@@ -360,7 +360,9 @@ class ClusteredScalingExtrapolator:
             Fit report receiving a ``fallback_support`` event for every
             cluster whose hypothesis selection degenerates, and an
             informational ``solver_not_converged`` event for every
-            cluster with a support-path solve stopped at its cap.
+            cluster with a support-path solve stopped at its cap, and
+            one (``solver="kmeans"``) when the clustering's kept
+            restart stops at its cap.
         """
         report = report if report is not None else FitReport()
         S = np.asarray(S, dtype=np.float64)
@@ -381,6 +383,14 @@ class ClusteredScalingExtrapolator:
                 n_clusters=k, n_init=10, random_state=self.random_state
             ).fit(shapes)
             labels = self.kmeans_.labels_
+            if not self.kmeans_.converged_:
+                report.record(
+                    "extrapolation", "solver_not_converged",
+                    f"clustering: the kept k-means restart stopped at the "
+                    f"iteration cap ({self.kmeans_.n_iter_})",
+                    degrades=False, solver="kmeans",
+                    n_iter=int(self.kmeans_.n_iter_),
+                )
         else:
             self.kmeans_ = None
             labels = np.zeros(S.shape[0], dtype=np.int64)

@@ -53,6 +53,11 @@ class KMeans(BaseEstimator, ClusterMixin):
     inertia_ : float
         Sum of squared distances to assigned centers (monotonically
         non-increasing across Lloyd iterations — a property test target).
+    n_iter_ : int
+        Lloyd iterations run by the kept restart.
+    converged_ : bool
+        Whether the kept restart's center shift fell to ``tol`` before
+        ``max_iter`` iterations.
     """
 
     def __init__(
@@ -71,8 +76,11 @@ class KMeans(BaseEstimator, ClusterMixin):
 
     def _lloyd(
         self, X: np.ndarray, centers: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        for _ in range(self.max_iter):
+    ) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
+        """Lloyd iterations from ``centers``: final centers, labels,
+        inertia, iterations run, and whether the shift met ``tol``."""
+        n_iter, converged = 0, False
+        for n_iter in range(1, self.max_iter + 1):
             D = pairwise_distances(X, centers)
             labels = np.argmin(D, axis=1)
             new_centers = centers.copy()
@@ -87,11 +95,12 @@ class KMeans(BaseEstimator, ClusterMixin):
             shift = float(np.sum((new_centers - centers) ** 2))
             centers = new_centers
             if shift <= self.tol:
+                converged = True
                 break
         D = pairwise_distances(X, centers)
         labels = np.argmin(D, axis=1)
         inertia = float(np.sum(D[np.arange(len(labels)), labels] ** 2))
-        return centers, labels, inertia
+        return centers, labels, inertia, n_iter, converged
 
     def fit(self, X: np.ndarray, y: object = None) -> "KMeans":
         if self.n_clusters < 1:
@@ -101,14 +110,15 @@ class KMeans(BaseEstimator, ClusterMixin):
         X = check_array(X, min_samples=self.n_clusters)
         rng = check_random_state(self.random_state)
 
-        best: tuple[float, np.ndarray, np.ndarray] | None = None
+        best: tuple[float, np.ndarray, np.ndarray, int, bool] | None = None
         for _ in range(self.n_init):
             centers0 = kmeans_plus_plus_init(X, self.n_clusters, rng)
-            centers, labels, inertia = self._lloyd(X, centers0)
+            centers, labels, inertia, n_iter, converged = self._lloyd(X, centers0)
             if best is None or inertia < best[0]:
-                best = (inertia, centers, labels)
+                best = (inertia, centers, labels, n_iter, converged)
         assert best is not None
-        self.inertia_, self.cluster_centers_, self.labels_ = best
+        (self.inertia_, self.cluster_centers_, self.labels_,
+         self.n_iter_, self.converged_) = best
         self.n_features_in_ = X.shape[1]
         return self
 

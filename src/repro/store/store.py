@@ -17,9 +17,21 @@ the whole-store ``dataset_fingerprint`` and one fingerprint per scale.
 Chunking-invariant means: ingesting the same records through any chunk
 sizes produces byte-identical fingerprints, because the hash streams
 the store column-major in row order (see
-:class:`~repro.data.io.FingerprintStream`).  The per-scale fingerprints
-are what warm-start refits key on — a scale whose fingerprint is
-unchanged still has exactly the data its interpolator was fitted on.
+:class:`~repro.data.io.FingerprintStream`).  A scale's fingerprint
+equals the ``scale_data_fingerprints_`` entry a
+:class:`~repro.core.TwoLevelModel` records when fitted on the same rows
+(warm-start refits compare those model-side hashes, not the store's).
+
+A non-deferred :meth:`HistoryStore.append` reads no shard but the one
+it writes: the instance keeps every hashed shard's fingerprint columns
+in memory (8·(n_params+4) bytes per row, for its lifetime) and hashes
+the whole store and each touched scale from them in one pass.  Shards
+committed before the instance opened the store are read once, by its
+first such append.  Bulk ingest appends with
+``defer_fingerprints=True`` and calls
+:meth:`~HistoryStore.refresh_fingerprints` once, which streams the
+shards from disk and keeps nothing; :meth:`~HistoryStore.verify` and
+:meth:`~HistoryStore.fsck` hash the bytes on disk too.
 
 Manifest updates are atomic and durable (fsynced temp file +
 ``os.replace`` + parent-dir fsync via :mod:`repro.store.atomic`) and
@@ -78,6 +90,18 @@ DEFAULT_CHUNK_ROWS = 65536
 
 def _shard_name(index: int) -> str:
     return f"shard-{index:05d}"
+
+
+def _row_chunks(col: np.ndarray, rows: np.ndarray | None) -> Iterator[np.ndarray]:
+    """``col`` (or its ``rows``, in order) in slices of at most
+    :data:`DEFAULT_CHUNK_ROWS` rows."""
+    step = DEFAULT_CHUNK_ROWS
+    if rows is None:
+        for i in range(0, col.shape[0], step):
+            yield col[i : i + step]
+    else:
+        for i in range(0, len(rows), step):
+            yield col[rows[i : i + step]]
 
 
 @dataclass
@@ -144,6 +168,11 @@ class HistoryStore:
     def __init__(self, root: Path, manifest: dict[str, Any]) -> None:
         self.root = Path(root)
         self._manifest = manifest
+        # In-memory FINGERPRINT_COLUMNS of the listed shards, keyed by
+        # each shard's manifest content fingerprint (so a shard name
+        # that fsck frees and an append reuses can never hit a stale
+        # entry); filled and pruned by non-deferred appends.
+        self._kept: dict[str, dict[str, np.ndarray]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -270,7 +299,8 @@ class HistoryStore:
 
     @property
     def scale_fingerprints(self) -> dict[int, str]:
-        """Per-scale content hashes (the warm-start refit keys)."""
+        """Per-scale content hashes, each equal to
+        ``dataset_fingerprint`` of that scale's rows."""
         if self._manifest.get("fingerprints_stale"):
             return {}
         return {
@@ -320,8 +350,10 @@ class HistoryStore:
         chunk).  ``sanitize`` carries the chunk's sanitize-report dict
         into the manifest as provenance.  ``defer_fingerprints=True``
         skips the store-level fingerprint recompute (the manifest is
-        marked stale); bulk ingesters use it and call
-        :meth:`refresh_fingerprints` once at the end.
+        marked stale) and keeps no columns; bulk ingesters use it and
+        call :meth:`refresh_fingerprints` once at the end.  Otherwise
+        the recompute hashes kept columns and reads no earlier shard
+        (see the module docstring).
         """
         if dataset.app_name != self.app_name:
             raise DataValidationError(
@@ -359,8 +391,12 @@ class HistoryStore:
         if defer_fingerprints:
             self._manifest["fingerprints_stale"] = True
         else:
+            self._kept[entry["fingerprint"]] = {
+                col: np.array(getattr(dataset, col), dtype=dtype, order="C")
+                for col, dtype in FINGERPRINT_COLUMNS
+            }
             self._refresh_fingerprints(
-                touched=[int(s) for s in dataset.scales]
+                touched=[int(s) for s in dataset.scales], keep=True
             )
         self._write_manifest()
         logger.debug(
@@ -371,28 +407,90 @@ class HistoryStore:
 
     def refresh_fingerprints(self) -> str:
         """Recompute the store and per-scale fingerprints from the
-        shards (clears a stale marker) and return the store hash."""
+        shards on disk in one streamed pass, keeping no columns (clears
+        a stale marker), and return the store hash."""
         self._refresh_fingerprints(touched=None)
         self._write_manifest()
         fp = self._manifest["dataset_fingerprint"]
         assert fp is not None
         return fp
 
-    def _refresh_fingerprints(self, touched: Sequence[int] | None) -> None:
+    def _refresh_fingerprints(
+        self, touched: Sequence[int] | None, keep: bool = False
+    ) -> None:
         """Recompute the whole-store hash, plus the per-scale hashes of
-        ``touched`` scales (all scales when ``None`` or when stale)."""
+        ``touched`` scales (all scales when ``None`` or when stale).
+
+        ``keep=True`` (non-deferred appends) hashes the kept columns,
+        reading only shards the instance has not kept yet; otherwise
+        every shard is streamed from disk and nothing is kept.
+        """
         stale = bool(self._manifest.get("fingerprints_stale"))
-        self._manifest["dataset_fingerprint"] = self._stream_fingerprint(None)
         if touched is None or stale:
             targets = list(self.scales)
             per_scale: dict[str, str] = {}
         else:
             targets = sorted(set(int(s) for s in touched))
             per_scale = dict(self._manifest.get("scale_fingerprints", {}))
-        for s in targets:
-            per_scale[str(s)] = self._stream_fingerprint([s])
+        whole, by_scale = self._fingerprint_pass(targets, keep)
+        self._manifest["dataset_fingerprint"] = whole
+        per_scale.update((str(s), fp) for s, fp in by_scale.items())
         self._manifest["scale_fingerprints"] = per_scale
         self._manifest["fingerprints_stale"] = False
+
+    def _fingerprint_pass(
+        self, scales: Sequence[int], keep: bool
+    ) -> tuple[str, dict[int, str]]:
+        """The whole-store hash and the hash of each of ``scales``,
+        chunking-invariant, from one column-major pass over the listed
+        shards: each shard's rows per scale are taken once from its
+        ``nprocs`` column, and every column feeds all the streams."""
+        entries = self._manifest["shards"]
+        if keep:
+            kept: dict[str, dict[str, np.ndarray]] = {}
+            for e in entries:
+                fp = e["fingerprint"]
+                if fp not in kept:
+                    kept[fp] = (
+                        self._kept[fp] if fp in self._kept else self._read_kept(e)
+                    )
+            self._kept = kept  # drops shards the manifest no longer lists
+            shards = [kept[e["fingerprint"]] for e in entries]
+        else:
+            shards = [
+                {name: reader.column(name) for name, _ in FINGERPRINT_COLUMNS}
+                for reader in self._readers()
+            ]
+        rows = [
+            {s: np.flatnonzero(cols["nprocs"] == s) for s in scales}
+            for cols in shards
+        ]
+        whole = FingerprintStream(self.app_name, self.param_names)
+        streams = {
+            s: FingerprintStream(self.app_name, self.param_names) for s in scales
+        }
+        for name, _ in FINGERPRINT_COLUMNS:
+            whole.update_column(name, (
+                chunk for cols in shards
+                for chunk in _row_chunks(cols[name], None)
+            ))
+            for s, stream in streams.items():
+                stream.update_column(name, (
+                    chunk for cols, idx in zip(shards, rows)
+                    for chunk in _row_chunks(cols[name], idx[s])
+                ))
+        return whole.fingerprint(), {
+            s: stream.fingerprint() for s, stream in streams.items()
+        }
+
+    def _read_kept(self, entry: dict[str, Any]) -> dict[str, np.ndarray]:
+        """One shard's fingerprint columns, read from disk into memory
+        (shards committed before this instance opened the store)."""
+        reader = ShardReader(self.root / SHARDS_DIR / entry["name"])
+        return {
+            name: np.array(reader.column(name))
+            for name, _ in FINGERPRINT_COLUMNS
+        }
 
     # -- reading -----------------------------------------------------------
 
@@ -401,30 +499,6 @@ class HistoryStore:
             ShardReader(self.root / SHARDS_DIR / entry["name"])
             for entry in self._manifest["shards"]
         ]
-
-    def _stream_fingerprint(
-        self,
-        scales: Sequence[int] | None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    ) -> str:
-        """Chunking-invariant content hash of a (scale-sliced) store,
-        streamed column-major with constant memory."""
-        readers = self._readers()
-        stream = FingerprintStream(self.app_name, self.param_names)
-        for name, _ in FINGERPRINT_COLUMNS:
-            def chunks() -> Iterator[np.ndarray]:
-                for reader in readers:
-                    col = reader.column(name)
-                    if scales is None:
-                        for i in range(0, reader.n_rows, chunk_rows):
-                            yield col[i : i + chunk_rows]
-                    else:
-                        mask = reader.scale_mask(scales)
-                        idx = np.nonzero(mask)[0]
-                        for i in range(0, len(idx), chunk_rows):
-                            yield col[idx[i : i + chunk_rows]]
-            stream.update_column(name, chunks())
-        return stream.fingerprint()
 
     def iter_chunks(
         self,
@@ -570,7 +644,7 @@ class HistoryStore:
                 f"Manifest row count {self.n_rows} != shard total {rows}."
             )
         if not self._manifest.get("fingerprints_stale"):
-            actual = self._stream_fingerprint(None) if rows else None
+            actual = self._fingerprint_pass((), keep=False)[0] if rows else None
             if actual != self._manifest["dataset_fingerprint"]:
                 raise DatasetFormatError(
                     f"Store content hash {actual} does not match the "

@@ -171,6 +171,29 @@ class TestSolverConvergenceReport:
             assert event.context["worst_gap"] > 0
         assert not report.degraded
 
+    def test_capped_clustering_is_reported_without_degrading(
+        self, rng, monkeypatch
+    ):
+        real = extrapolation.KMeans
+
+        def capped(**kwargs):
+            return real(max_iter=1, **kwargs)
+
+        monkeypatch.setattr(extrapolation, "KMeans", capped)
+        S, _ = synthetic_curves(16, rng)
+        report = FitReport()
+        model = ClusteredScalingExtrapolator(
+            SMALL, n_clusters=2, random_state=0
+        ).fit(S, report=report)
+        assert not model.kmeans_.converged_
+        events = [
+            e for e in report.by_kind("solver_not_converged")
+            if e.context.get("solver") == "kmeans"
+        ]
+        assert len(events) == 1
+        assert events[0].context["n_iter"] == 1 and not events[0].degrades
+        assert not report.degraded
+
     def test_converged_path_records_nothing(self, rng):
         S, _ = synthetic_curves(16, rng)
         report = FitReport()

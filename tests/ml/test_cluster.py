@@ -101,6 +101,18 @@ class TestKMeans:
         with pytest.raises(ValueError):
             KMeans(n_init=0).fit(np.ones((3, 2)))
 
+    def test_default_fit_converges(self, blobs):
+        X, _, _ = blobs
+        km = KMeans(n_clusters=3, random_state=0).fit(X)
+        assert km.converged_
+        assert 1 <= km.n_iter_ < km.max_iter
+
+    def test_capped_fit_reports_not_converged(self, rng):
+        X = np.vstack([rng.normal(c, 2.0, size=(40, 2)) for c in (0.0, 1.5, 3.0)])
+        km = KMeans(n_clusters=3, max_iter=1, random_state=0).fit(X)
+        assert not km.converged_
+        assert km.n_iter_ == 1
+
     @given(st.integers(0, 100))
     @settings(max_examples=15, deadline=None)
     def test_every_cluster_nonempty(self, seed):

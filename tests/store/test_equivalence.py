@@ -125,3 +125,5 @@ class TestDownstreamFitEquivalence:
             m_store.predict(test.X, [128]),
             m_mem.predict(test.X, [128]),
         )
+        # the model's warm-start keys equal the store's per-scale hashes
+        assert m_store.scale_data_fingerprints_ == store.scale_fingerprints
