@@ -77,12 +77,15 @@ class TwoLevelModel:
         and predict time) or "measurements" (mean measured runtimes).
     strict:
         When True, any degradation condition raises instead of falling
-        back (useful in tests and offline analysis).  When False (the
-        default) the model survives dirty input: non-finite rows are
-        dropped, missing/under-populated scales degrade to fallback
-        models, and a degenerate extrapolation fit falls back to the
-        analytic speedup baseline — every fallback recorded on
-        :attr:`fit_report`.
+        back (useful in tests and offline analysis), and so does an
+        extrapolation solve (support path or k-means) that stops at its
+        iteration cap.  When False (the default) the model survives
+        dirty input: non-finite rows are dropped, missing/under-populated
+        scales degrade to fallback models, and a degenerate
+        extrapolation fit falls back to the analytic speedup baseline —
+        every fallback recorded on :attr:`fit_report`, as is every
+        unconverged solve (an informational ``solver_not_converged``
+        event).
     min_scale_samples:
         Minimum training rows a scale needs for its own interpolation
         model (fewer -> pooled fallback; see
@@ -315,6 +318,13 @@ class TwoLevelModel:
                     S_train
                 )
                 self.used_analytic_fallback_ = True
+            unconverged = report.by_kind("solver_not_converged")
+            if self.strict and unconverged:
+                raise FitDegenerateError(
+                    f"{len(unconverged)} extrapolation solver(s) stopped at "
+                    f"their iteration cap: {unconverged[0].detail} "
+                    "(strict mode)."
+                )
             self.extrapolator_ = extrapolator
         else:
             if large_train is None:

@@ -1,9 +1,11 @@
 """Random forest regressor — the paper's interpolation-level learner.
 
 Bagged CART trees with per-node feature subsampling and optional
-out-of-bag error estimation.  The OOB estimate is what the two-level
-model's diagnostics report as interpolation quality without spending a
-separate validation split.
+out-of-bag error estimation.  Every tree draws its bootstrap sample from
+its own stream, and one :func:`~repro.ml.tree.decision_tree.grow_trees`
+call grows the whole forest level by level.  The OOB estimate is what
+the two-level model's diagnostics report as interpolation quality
+without spending a separate validation split.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from ...errors import ConfigurationError
 from ..base import BaseEstimator, RegressorMixin, check_is_fitted
 from ..validation import check_array, check_X_y, check_random_state, spawn_rngs
-from .decision_tree import DecisionTreeRegressor
+from .decision_tree import DecisionTreeRegressor, grow_trees, growth_params
 
 __all__ = ["RandomForestRegressor"]
 
@@ -74,32 +76,22 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         rng = check_random_state(self.random_state)
         n_samples = X.shape[0]
         tree_rngs = spawn_rngs(rng, self.n_estimators)
-
-        self.estimators_: list[DecisionTreeRegressor] = []
-        oob_sum = np.zeros(n_samples)
-        oob_count = np.zeros(n_samples, dtype=np.int64)
-
-        for t_rng in tree_rngs:
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                min_impurity_decrease=self.min_impurity_decrease,
-                random_state=t_rng,
+        if self.bootstrap:
+            samples = np.stack(
+                [r.integers(0, n_samples, size=n_samples) for r in tree_rngs]
             )
-            if self.bootstrap:
-                idx = t_rng.integers(0, n_samples, size=n_samples)
-                tree.fit(X, y, sample_indices=idx)
-                if self.oob_score:
-                    mask = np.ones(n_samples, dtype=bool)
-                    mask[np.unique(idx)] = False
-                    if np.any(mask):
-                        oob_sum[mask] += tree.predict(X[mask])
-                        oob_count[mask] += 1
-            else:
-                tree.fit(X, y)
-            self.estimators_.append(tree)
+        else:
+            samples = np.broadcast_to(
+                np.arange(n_samples), (self.n_estimators, n_samples)
+            )
+        params = growth_params(self)
+        grown = grow_trees(X, y, samples, tree_rngs, **params)
+        self.estimators_: list[DecisionTreeRegressor] = [
+            DecisionTreeRegressor(**params, random_state=r)._set_grown(
+                tree, tree_importances, X.shape[1]
+            )
+            for r, (tree, tree_importances) in zip(tree_rngs, grown)
+        ]
 
         importances = np.mean(
             [t.feature_importances_ for t in self.estimators_], axis=0
@@ -111,6 +103,14 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         self.n_features_in_ = X.shape[1]
 
         if self.oob_score:
+            oob_sum = np.zeros(n_samples)
+            oob_count = np.zeros(n_samples, dtype=np.int64)
+            for tree, idx in zip(self.estimators_, samples):
+                mask = np.ones(n_samples, dtype=bool)
+                mask[np.unique(idx)] = False
+                if np.any(mask):
+                    oob_sum[mask] += tree.predict(X[mask])
+                    oob_count[mask] += 1
             covered = oob_count > 0
             self.oob_prediction_ = np.full(n_samples, np.nan)
             self.oob_prediction_[covered] = oob_sum[covered] / oob_count[covered]

@@ -92,6 +92,14 @@ def _shard_name(index: int) -> str:
     return f"shard-{index:05d}"
 
 
+def _next_shard_name(entries: Sequence[dict[str, Any]]) -> str:
+    """One past the highest listed shard index: never the name of a
+    listed shard, even after fsck drops one from the middle."""
+    return _shard_name(
+        max((int(e["name"].rsplit("-", 1)[1]) for e in entries), default=-1) + 1
+    )
+
+
 def _row_chunks(col: np.ndarray, rows: np.ndarray | None) -> Iterator[np.ndarray]:
     """``col`` (or its ``rows``, in order) in slices of at most
     :data:`DEFAULT_CHUNK_ROWS` rows."""
@@ -205,7 +213,7 @@ class HistoryStore:
             "shards": [],
         }
         store = cls(root, manifest)
-        store._write_manifest()
+        store._write_manifest(manifest)
         logger.info("created history store at %s (app=%s)", root, app_name)
         return store
 
@@ -367,7 +375,7 @@ class HistoryStore:
             )
         if len(dataset) == 0:
             return None
-        name = _shard_name(self.n_shards)
+        name = _next_shard_name(self._manifest["shards"])
         shard_dir = self.root / SHARDS_DIR / name
         write_shard(shard_dir, dataset)
 
@@ -382,23 +390,30 @@ class HistoryStore:
             "sanitize": dict(sanitize) if sanitize is not None else None,
             "created_unix": time.time(),
         }
-        self._manifest["shards"].append(entry)
-        self._manifest["n_rows"] = self.n_rows + len(dataset)
-        scales = sorted(
-            set(self.scales) | {int(s) for s in dataset.scales}
-        )
-        self._manifest["scales"] = scales
+        # The new manifest and kept columns are built on copies and
+        # installed only once the manifest is on disk: an append that
+        # fails leaves the instance as it was, and its shard directory
+        # is an orphan the next append's name overwrites.
+        manifest = {
+            **self._manifest,
+            "shards": [*self._manifest["shards"], entry],
+            "n_rows": self.n_rows + len(dataset),
+            "scales": sorted(set(self.scales) | {int(s) for s in dataset.scales}),
+        }
+        kept = self._kept
         if defer_fingerprints:
-            self._manifest["fingerprints_stale"] = True
+            manifest["fingerprints_stale"] = True
         else:
-            self._kept[entry["fingerprint"]] = {
-                col: np.array(getattr(dataset, col), dtype=dtype, order="C")
-                for col, dtype in FINGERPRINT_COLUMNS
-            }
-            self._refresh_fingerprints(
-                touched=[int(s) for s in dataset.scales], keep=True
+            kept = self._refresh_fingerprints(
+                manifest,
+                touched=[int(s) for s in dataset.scales],
+                kept={**kept, entry["fingerprint"]: {
+                    col: np.array(getattr(dataset, col), dtype=dtype, order="C")
+                    for col, dtype in FINGERPRINT_COLUMNS
+                }},
             )
-        self._write_manifest()
+        self._write_manifest(manifest)
+        self._manifest, self._kept = manifest, kept
         logger.debug(
             "appended %s: %d rows (source=%s, store now %d rows)",
             name, len(dataset), source, self.n_rows,
@@ -409,57 +424,70 @@ class HistoryStore:
         """Recompute the store and per-scale fingerprints from the
         shards on disk in one streamed pass, keeping no columns (clears
         a stale marker), and return the store hash."""
-        self._refresh_fingerprints(touched=None)
-        self._write_manifest()
-        fp = self._manifest["dataset_fingerprint"]
+        manifest = dict(self._manifest)
+        self._refresh_fingerprints(manifest, touched=None)
+        self._write_manifest(manifest)
+        self._manifest = manifest
+        fp = manifest["dataset_fingerprint"]
         assert fp is not None
         return fp
 
     def _refresh_fingerprints(
-        self, touched: Sequence[int] | None, keep: bool = False
-    ) -> None:
-        """Recompute the whole-store hash, plus the per-scale hashes of
-        ``touched`` scales (all scales when ``None`` or when stale).
+        self,
+        manifest: dict[str, Any],
+        touched: Sequence[int] | None,
+        kept: dict[str, dict[str, np.ndarray]] | None = None,
+    ) -> dict[str, dict[str, np.ndarray]] | None:
+        """Recompute ``manifest``'s whole-store hash, plus the per-scale
+        hashes of ``touched`` scales (all scales when ``None`` or when
+        stale), in place.
 
-        ``keep=True`` (non-deferred appends) hashes the kept columns,
-        reading only shards the instance has not kept yet; otherwise
+        With ``kept`` (non-deferred appends) the pass hashes kept
+        columns, reading only the listed shards ``kept`` lacks, and
+        returns the kept map of exactly the listed shards; otherwise
         every shard is streamed from disk and nothing is kept.
         """
-        stale = bool(self._manifest.get("fingerprints_stale"))
+        stale = bool(manifest.get("fingerprints_stale"))
         if touched is None or stale:
-            targets = list(self.scales)
+            targets = [int(s) for s in manifest["scales"]]
             per_scale: dict[str, str] = {}
         else:
             targets = sorted(set(int(s) for s in touched))
-            per_scale = dict(self._manifest.get("scale_fingerprints", {}))
-        whole, by_scale = self._fingerprint_pass(targets, keep)
-        self._manifest["dataset_fingerprint"] = whole
+            per_scale = dict(manifest.get("scale_fingerprints", {}))
+        whole, by_scale, kept = self._fingerprint_pass(
+            manifest["shards"], targets, kept
+        )
+        manifest["dataset_fingerprint"] = whole
         per_scale.update((str(s), fp) for s, fp in by_scale.items())
-        self._manifest["scale_fingerprints"] = per_scale
-        self._manifest["fingerprints_stale"] = False
+        manifest["scale_fingerprints"] = per_scale
+        manifest["fingerprints_stale"] = False
+        return kept
 
     def _fingerprint_pass(
-        self, scales: Sequence[int], keep: bool
-    ) -> tuple[str, dict[int, str]]:
+        self,
+        entries: Sequence[dict[str, Any]],
+        scales: Sequence[int],
+        kept: dict[str, dict[str, np.ndarray]] | None,
+    ) -> tuple[str, dict[int, str], dict[str, dict[str, np.ndarray]] | None]:
         """The whole-store hash and the hash of each of ``scales``,
-        chunking-invariant, from one column-major pass over the listed
-        shards: each shard's rows per scale are taken once from its
-        ``nprocs`` column, and every column feeds all the streams."""
-        entries = self._manifest["shards"]
-        if keep:
-            kept: dict[str, dict[str, np.ndarray]] = {}
+        chunking-invariant, from one column-major pass over the shards
+        ``entries`` lists: each shard's rows per scale are taken once
+        from its ``nprocs`` column, and every column feeds all the
+        streams.  Also returns the kept map of the listed shards when
+        ``kept`` is given (see :meth:`_refresh_fingerprints`)."""
+        if kept is not None:
+            listed: dict[str, dict[str, np.ndarray]] = {}
             for e in entries:
                 fp = e["fingerprint"]
-                if fp not in kept:
-                    kept[fp] = (
-                        self._kept[fp] if fp in self._kept else self._read_kept(e)
-                    )
-            self._kept = kept  # drops shards the manifest no longer lists
+                if fp not in listed:
+                    listed[fp] = kept[fp] if fp in kept else self._read_kept(e)
+            kept = listed  # drops shards the manifest no longer lists
             shards = [kept[e["fingerprint"]] for e in entries]
         else:
+            readers = (ShardReader(self.root / SHARDS_DIR / e["name"]) for e in entries)
             shards = [
                 {name: reader.column(name) for name, _ in FINGERPRINT_COLUMNS}
-                for reader in self._readers()
+                for reader in readers
             ]
         rows = [
             {s: np.flatnonzero(cols["nprocs"] == s) for s in scales}
@@ -481,7 +509,7 @@ class HistoryStore:
                 ))
         return whole.fingerprint(), {
             s: stream.fingerprint() for s, stream in streams.items()
-        }
+        }, kept
 
     def _read_kept(self, entry: dict[str, Any]) -> dict[str, np.ndarray]:
         """One shard's fingerprint columns, read from disk into memory
@@ -644,7 +672,10 @@ class HistoryStore:
                 f"Manifest row count {self.n_rows} != shard total {rows}."
             )
         if not self._manifest.get("fingerprints_stale"):
-            actual = self._fingerprint_pass((), keep=False)[0] if rows else None
+            actual = (
+                self._fingerprint_pass(self._manifest["shards"], (), None)[0]
+                if rows else None
+            )
             if actual != self._manifest["dataset_fingerprint"]:
                 raise DatasetFormatError(
                     f"Store content hash {actual} does not match the "
@@ -761,18 +792,20 @@ class HistoryStore:
                 child.unlink(missing_ok=True)
             report.orphans_removed.append(child.name)
 
-        self._manifest["shards"] = survivors
-        self._manifest["n_rows"] = sum(int(e["rows"]) for e in survivors)
-        self._manifest["scales"] = sorted(
-            {int(s) for e in survivors for s in e["scales"]}
-        )
+        manifest = {
+            **self._manifest,
+            "shards": survivors,
+            "n_rows": sum(int(e["rows"]) for e in survivors),
+            "scales": sorted({int(s) for e in survivors for s in e["scales"]}),
+        }
         if survivors:
-            self._refresh_fingerprints(touched=None)
+            self._refresh_fingerprints(manifest, touched=None)
         else:
-            self._manifest["dataset_fingerprint"] = None
-            self._manifest["scale_fingerprints"] = {}
-            self._manifest["fingerprints_stale"] = False
-        self._write_manifest()
+            manifest["dataset_fingerprint"] = None
+            manifest["scale_fingerprints"] = {}
+            manifest["fingerprints_stale"] = False
+        self._write_manifest(manifest)
+        self._manifest = manifest
         report.repaired = True
         logger.warning(
             "%s: fsck quarantined %d shard(s), removed %d orphan(s); "
@@ -885,9 +918,9 @@ class HistoryStore:
 
     # -- manifest persistence ----------------------------------------------
 
-    def _write_manifest(self) -> None:
+    def _write_manifest(self, manifest: dict[str, Any]) -> None:
         atomic.atomic_replace(
             self.root / MANIFEST_NAME,
-            json.dumps(self._manifest, sort_keys=True, indent=1),
+            json.dumps(manifest, sort_keys=True, indent=1),
             op="store.manifest",
         )

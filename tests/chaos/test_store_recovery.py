@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import ChaosFS, corrupt_file, crash_sweep
+from repro.data import ExecutionDataset, dataset_fingerprint
 from repro.errors import DatasetFormatError
 from repro.store import HistoryStore, QUARANTINE_DIR
 
@@ -84,6 +85,27 @@ class TestAppendCrashSweep:
         assert store.n_rows == ctx["rows_old"]
         store.fsck(repair=True)
         HistoryStore.open(tmp_path / "store").verify()
+
+    def test_failed_manifest_write_commits_nothing(self, tmp_path):
+        import errno
+
+        store = HistoryStore.create(tmp_path / "store", "synth", ("alpha", "beta"))
+        a, b, c = (make_dataset(n=30, seed=s) for s in (11, 12, 13))
+        store.append(a, source="a")
+        before = (store.n_rows, store.shard_infos, store.fingerprint)
+        fs = ChaosFS(seed=0).fail_op("store.manifest:write", err=errno.ENOSPC)
+        with fs.install():
+            with pytest.raises(OSError) as exc_info:
+                store.append(b, source="b")
+        assert exc_info.value.errno == errno.ENOSPC
+        assert (store.n_rows, store.shard_infos, store.fingerprint) == before
+        store.append(c, source="c")
+        for view in (store, HistoryStore.open(tmp_path / "store")):
+            assert view.sources() == ["a", "c"]
+            view.verify()
+            assert view.fingerprint == dataset_fingerprint(
+                ExecutionDataset.concat([a, c])
+            )
 
 
 class TestFsck:
@@ -204,18 +226,39 @@ class TestFsck:
             mode="bitflip", seed=1,
         )
         store.fsck(repair=True)
-        # a later append recreates shard-00001, corrupt it again
+        # a later append names its shard past the highest listed one;
+        # corrupt that shard too
         store = HistoryStore.open(store.root)
         store.append(make_dataset(n=30, seed=9), source="again")
-        assert store.shard_infos[-1]["name"] == "shard-00002"
+        assert store.shard_infos[-1]["name"] == "shard-00003"
         corrupt_file(
-            store.root / "shards" / "shard-00002" / "runtime.npy",
+            store.root / "shards" / "shard-00003" / "runtime.npy",
             mode="bitflip", seed=2,
         )
         # put a colliding name into quarantine to force the suffix path
-        (store.root / QUARANTINE_DIR / "shard-00002").mkdir()
+        (store.root / QUARANTINE_DIR / "shard-00003").mkdir()
         report = HistoryStore.open(store.root).fsck(repair=True)
-        assert report.quarantined == ["shard-00002.1"]
+        assert report.quarantined == ["shard-00003.1"]
+
+    def test_append_after_middle_quarantine_keeps_every_survivor(self, tmp_path):
+        store = self._store(tmp_path)
+        corrupt_file(
+            store.root / "shards" / "shard-00001" / "runtime.npy",
+            mode="bitflip", seed=1,
+        )
+        store.fsck(repair=True)
+        store = HistoryStore.open(store.root)
+        new = make_dataset(n=30, seed=9)
+        store.append(new, source="again")
+        names = [e["name"] for e in store.shard_infos]
+        assert names == ["shard-00000", "shard-00002", "shard-00003"]
+        reopened = HistoryStore.open(store.root)
+        reopened.verify()
+        expected = [make_dataset(n=30, seed=0), make_dataset(n=30, seed=2), new]
+        np.testing.assert_array_equal(
+            reopened.to_dataset().runtime,
+            np.concatenate([ds.runtime for ds in expected]),
+        )
 
     def test_data_slice_bitexact_after_quarantine(self, tmp_path):
         """Surviving rows must be byte-identical to the original chunks."""

@@ -13,6 +13,7 @@ from repro.core import (
     TransferExtrapolator,
     TwoLevelModel,
 )
+from repro.errors import FitDegenerateError
 from repro.ml import RandomForestRegressor
 from repro.robustness import FitReport
 
@@ -214,6 +215,37 @@ class TestSolverConvergenceReport:
         ).fit(tiny_history)
         assert "solver_not_converged" in model.fit_report_.kinds()
         assert not model.fit_report_.degraded
+
+    @pytest.mark.parametrize("solver", ["path", "kmeans"])
+    def test_strict_two_level_fit_refuses_capped_solves(
+        self, tiny_history, monkeypatch, solver
+    ):
+        if solver == "path":
+            monkeypatch.setattr(extrapolation, "_PATH_MAX_ITER", 2)
+        else:
+            real = extrapolation.KMeans
+            monkeypatch.setattr(
+                extrapolation, "KMeans", lambda **kw: real(max_iter=1, **kw)
+            )
+
+        def fit(strict):
+            return TwoLevelModel(
+                small_scales=[32, 64, 128, 256],
+                n_clusters=2,
+                interp_factory=lambda random_state=None: RandomForestRegressor(
+                    n_estimators=8, random_state=random_state
+                ),
+                strict=strict,
+                random_state=0,
+            ).fit(tiny_history)
+
+        report = fit(strict=False).fit_report_
+        events = report.by_kind("solver_not_converged")
+        assert events and not report.degraded
+        assert any((e.context.get("solver") == "kmeans") == (solver == "kmeans")
+                   for e in events)
+        with pytest.raises(FitDegenerateError, match="strict"):
+            fit(strict=True)
 
 
 class TestInputValidation:

@@ -4,38 +4,46 @@ import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeRegressor
-from repro.ml.tree.decision_tree import _best_split_for_feature
+
+
+def stump(values, y, min_samples_leaf=1):
+    """Depth-1 tree on one feature: its root split is the best split."""
+    return DecisionTreeRegressor(
+        max_depth=1, min_samples_leaf=min_samples_leaf
+    ).fit(np.asarray(values, dtype=float)[:, None], y).tree_
 
 
 class TestSplitter:
     def test_finds_obvious_split(self):
         values = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])
         y = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
-        decrease, threshold = _best_split_for_feature(values, y, 1)
-        assert 3.0 < threshold <= 10.0
-        # Splitting removes all SSE: decrease equals total SSE.
-        assert decrease == pytest.approx(np.sum((y - y.mean()) ** 2))
+        tree = stump(values, y)
+        assert 3.0 < tree.threshold[0] <= 10.0
+        # Splitting removes all SSE: both children are pure.
+        assert tree.n_nodes == 3
+        np.testing.assert_array_equal(tree.impurity[[tree.left[0], tree.right[0]]], 0.0)
+        assert tree.impurity[0] * len(y) == pytest.approx(np.sum((y - y.mean()) ** 2))
 
     def test_constant_feature_no_split(self):
-        decrease, threshold = _best_split_for_feature(
-            np.ones(5), np.arange(5.0), 1
-        )
-        assert decrease == -np.inf and np.isnan(threshold)
+        tree = stump(np.ones(5), np.arange(5.0))
+        assert tree.n_nodes == 1 and tree.feature[0] == -1
+        assert np.isnan(tree.threshold[0])
 
     def test_min_samples_leaf_respected(self):
         values = np.arange(6.0)
         y = np.array([0.0, 0, 0, 0, 0, 100.0])
         # With leaf size 2 the best cut (isolating the last point) is
-        # forbidden; the returned split must leave >= 2 on each side.
-        _, threshold = _best_split_for_feature(values, y, 2)
-        n_left = int(np.sum(values <= threshold))
+        # forbidden; the chosen split must leave >= 2 on each side.
+        tree = stump(values, y, min_samples_leaf=2)
+        n_left = int(np.sum(values <= tree.threshold[0]))
         assert 2 <= n_left <= 4
+        assert tree.n_node_samples[tree.left[0]] == n_left
 
     def test_ties_stay_together(self):
         values = np.array([1.0, 1.0, 1.0, 2.0])
         y = np.array([0.0, 5.0, 10.0, 20.0])
-        _, threshold = _best_split_for_feature(values, y, 1)
-        assert 1.0 < threshold <= 2.0  # cannot split between equal values
+        tree = stump(values, y)
+        assert 1.0 < tree.threshold[0] <= 2.0  # cannot split between equal values
 
 
 class TestDecisionTree:
